@@ -25,24 +25,14 @@ pub enum SamplingConfig {
     InBatch,
 }
 
-/// Gradient-synchronization mode of the multi-threaded trainer step.
+/// Gradient-synchronization mode of the trainer step.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SyncMode {
     /// Each worker accumulates into a private batch-footprint gradient
     /// shard; shards merge in a fixed order before one optimizer step.
-    /// Deterministic per `(seed, threads)` and bit-identical to the
-    /// serial trainer at `threads = 1`.
+    /// Deterministic per `(seed, threads)`; at `threads = 1` the one
+    /// shard runs inline.
     Exact,
-    /// Hogwild-style (Niu et al., 2011): workers apply plain-SGD updates
-    /// directly to the shared embedding rows with lock-free relaxed
-    /// atomics — no merge, no optimizer state. Races may drop individual
-    /// row increments, so runs are **not** reproducible; metrics land
-    /// within run-to-run noise of the exact path (asserted in
-    /// `tests/pool.rs`). Only backbones whose final embeddings are their
-    /// parameters (plain MF, cosine scoring) support it; anything else
-    /// falls back to [`SyncMode::Exact`] with a warning. Ignored at
-    /// `threads = 1`.
-    Hogwild,
 }
 
 /// Full training configuration; serializable so experiment harnesses can
@@ -77,16 +67,19 @@ pub struct TrainConfig {
     /// Worker threads for batch sampling and the trainer step
     /// (`0` = auto: one per available core).
     ///
-    /// * `threads == 1` runs the fully serial path, bit-identical to the
-    ///   historical single-threaded trainer.
+    /// * `threads == 1` runs each step pass inline over the whole batch
+    ///   with one gradient shard, bit-identical to the historical
+    ///   single-threaded trainer.
     /// * `threads > 1` runs the persistent execution engine
     ///   ([`crate::engine`]): negative sampling is sharded across that
     ///   many long-lived [`bsl_sampling::SamplerPool`] workers and each
-    ///   step's score/gradient passes are fed as per-batch jobs to the
-    ///   same number of pooled compute workers (spawned once per
-    ///   `Trainer`), merging per-shard batch-footprint gradient buffers
-    ///   in a fixed order before the optimizer step — unless
-    ///   [`TrainConfig::sync`] selects Hogwild in-place updates.
+    ///   step's score/gradient passes are fed as per-batch jobs, one per
+    ///   row chunk, to the same number of pooled compute workers (spawned
+    ///   once per `Trainer`).
+    ///
+    /// Either way every chunk accumulates into its own batch-footprint
+    /// gradient shard, and the shards merge in a fixed order before the
+    /// optimizer step.
     ///
     /// **Determinism semantics:** results are deterministic per
     /// `(seed, threads)` — re-running the same config replays the run
@@ -96,8 +89,7 @@ pub struct TrainConfig {
     /// Treat a change of `threads` like a change of `seed`: metrics stay
     /// within run-to-run noise, individual bits do not.
     pub threads: usize,
-    /// How multi-threaded workers synchronize gradients (see
-    /// [`SyncMode`]); irrelevant when the effective thread count is 1.
+    /// How workers synchronize gradients (see [`SyncMode`]).
     pub sync: SyncMode,
 }
 

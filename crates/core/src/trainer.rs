@@ -1,7 +1,7 @@
 //! The training loop: backbone × loss × sampler × optimizer × evaluation.
 
-use crate::config::{SamplingConfig, SyncMode, TrainConfig};
-use crate::engine::{Engine, HogwildView, Job, WorkerPool};
+use crate::config::{SamplingConfig, TrainConfig};
+use crate::engine::{Engine, Job, WorkerPool};
 use bsl_data::Dataset;
 use bsl_eval::{evaluate_artifact, EvalReport};
 use bsl_linalg::kernels::{axpy, cosine_backward_into, dot, normalize_into, sq_dist};
@@ -12,12 +12,12 @@ use bsl_models::{
     build as build_backbone, Backbone, EvalScore, GradBuffer, Hyper, ModelArtifact, ShardGrad,
     TrainScore,
 };
-use bsl_opt::sgd_step_row;
 use bsl_sampling::{
     BatchIter, NegativeSampler, NoisySampler, PopularitySampler, TrainBatch, UniformSampler,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 /// The cutoffs every training run evaluates (Fig 7's @5/@10/@15 plus the
@@ -48,7 +48,7 @@ pub struct TrainOutcome {
     /// The frozen, servable export of the best epoch's embeddings:
     /// normalization / distance augmentation already applied, so repeated
     /// evaluations and serving never repay preparation. Save it with
-    /// [`ModelArtifact::save`], serve it with `bsl_serve::Recommender`.
+    /// [`ModelArtifact::save`], serve it with `bsl_serve::ServeState`.
     pub artifact: ModelArtifact,
     /// The best evaluation report (by NDCG@20).
     pub best: EvalReport,
@@ -79,24 +79,6 @@ pub struct Trainer {
     /// reused for every batch, epoch, and subsequent fit of this trainer
     /// — no per-batch or per-epoch thread spawning.
     engine: OnceLock<Engine>,
-}
-
-/// Contiguous row ranges splitting `n` rows across at most `k` workers
-/// (fewer when `n < k`; never empty ranges).
-fn row_chunks(n: usize, k: usize) -> Vec<std::ops::Range<usize>> {
-    let k = k.min(n).max(1);
-    let chunk = n.div_ceil(k);
-    (0..n).step_by(chunk.max(1)).map(|s| s..(s + chunk).min(n)).collect()
-}
-
-/// One Hogwild read-modify-write: load `row` into `buf`, apply a plain-SGD
-/// update with coupled L2 on the local copy, store it back. Concurrent
-/// callers updating the same row may overwrite each other's increments —
-/// the approximation Hogwild accepts for lock-freedom.
-fn hogwild_apply(view: &HogwildView, row: u32, grad: &[f32], buf: &mut [f32], hp: Hyper) {
-    view.load_row(row as usize, buf);
-    sgd_step_row(buf, grad, hp.lr, hp.l2);
-    view.store_row(row as usize, buf);
 }
 
 /// Reusable step scratch: unit vectors, norms, scores and the in-batch
@@ -159,158 +141,60 @@ impl StepScratch {
     }
 }
 
-/// Pass 1 of the pooled *sampled* step, shared verbatim by the exact
-/// ([`Trainer::step_sampled_par`]) and Hogwild paths: sizes the scratch,
-/// then scores row-sharded into disjoint scratch slices — each shard
-/// normalizes its negative blocks once (cached for pass 2) and scores
-/// them with blocked matvecs. The distance-scored path carves empty
-/// `nh`/`nn` slices; it never reads them. One pool job per chunk replaces
-/// the old scoped-thread spawn round.
-#[allow(clippy::too_many_arguments)] // the pass mirrors the step state
-fn pass1_sampled_scores(
-    pool: &WorkerPool,
-    chunks: &[std::ops::Range<usize>],
-    batch: &TrainBatch,
-    users: &Matrix,
-    items: &Matrix,
-    score_kind: TrainScore,
-    scratch: &mut StepScratch,
+/// Splits the first `rows` rows (of `widths[k]` floats) off every buffer
+/// in `parts`, leaving the rest in place.
+fn split_rows<'a, const N: usize>(
+    parts: &mut [&'a mut [f32]; N],
+    widths: [usize; N],
+    rows: usize,
+) -> [&'a mut [f32]; N] {
+    std::array::from_fn(|k| {
+        let (head, tail) = std::mem::take(&mut parts[k]).split_at_mut(rows * widths[k]);
+        parts[k] = tail;
+        head
+    })
+}
+
+/// Runs `body(rows, parts, shard)` over contiguous row chunks of `0..b`,
+/// chunk `k` with shard `k`; `parts` holds the chunk's rows of each
+/// output buffer (rows of `widths[k]` floats). With no pool the single
+/// shard runs inline over the whole batch — no job, no allocation; with
+/// one, every chunk is a [`WorkerPool`] job. The chunking depends only on
+/// `b` and the shard count, so results are deterministic per
+/// `(seed, threads)`.
+fn run_sharded<const N: usize, F>(
+    pool: Option<&WorkerPool>,
+    shards: &mut [ShardGrad],
     b: usize,
-    m: usize,
-    d: usize,
-) {
-    let cache_negs = score_kind == TrainScore::Cosine;
-    scratch.ensure_sampled(b, m, d, cache_negs);
-    let mut jobs: Vec<Job> = Vec::with_capacity(chunks.len());
-    let mut uh_rest = &mut scratch.user_hat[..b * d];
-    let mut un_rest = &mut scratch.user_norm[..b];
-    let mut ph_rest = &mut scratch.pos_hat[..b * d];
-    let mut pn_rest = &mut scratch.pos_norm[..b];
-    let mut ps_rest = &mut scratch.pos_scores[..b];
-    let mut ns_rest = &mut scratch.neg_scores[..b * m];
-    let mut nh_rest: &mut [f32] =
-        if cache_negs { &mut scratch.neg_hat[..b * m * d] } else { &mut [] };
-    let mut nn_rest: &mut [f32] =
-        if cache_negs { &mut scratch.neg_norms[..b * m] } else { &mut [] };
-    for range in chunks {
-        let rows = range.len();
-        let (uh, r) = std::mem::take(&mut uh_rest).split_at_mut(rows * d);
-        uh_rest = r;
-        let (un, r) = std::mem::take(&mut un_rest).split_at_mut(rows);
-        un_rest = r;
-        let (ph, r) = std::mem::take(&mut ph_rest).split_at_mut(rows * d);
-        ph_rest = r;
-        let (pn, r) = std::mem::take(&mut pn_rest).split_at_mut(rows);
-        pn_rest = r;
-        let (ps, r) = std::mem::take(&mut ps_rest).split_at_mut(rows);
-        ps_rest = r;
-        let (ns, r) = std::mem::take(&mut ns_rest).split_at_mut(rows * m);
-        ns_rest = r;
-        let (nh, r) =
-            std::mem::take(&mut nh_rest).split_at_mut(if cache_negs { rows * m * d } else { 0 });
-        nh_rest = r;
-        let (nn, r) =
-            std::mem::take(&mut nn_rest).split_at_mut(if cache_negs { rows * m } else { 0 });
-        nn_rest = r;
-        let range = range.clone();
-        jobs.push(Box::new(move || {
-            for (li, row) in range.enumerate() {
-                let u = batch.users[row] as usize;
-                let i = batch.pos[row] as usize;
-                match score_kind {
-                    TrainScore::Cosine => {
-                        un[li] = normalize_into(users.row(u), &mut uh[li * d..(li + 1) * d]);
-                        pn[li] = normalize_into(items.row(i), &mut ph[li * d..(li + 1) * d]);
-                        ps[li] = dot(&uh[li * d..(li + 1) * d], &ph[li * d..(li + 1) * d]);
-                        normalize_gather_into(
-                            items,
-                            batch.negs_of(row),
-                            &mut nh[li * m * d..(li + 1) * m * d],
-                            &mut nn[li * m..(li + 1) * m],
-                        );
-                        scores_block(
-                            &uh[li * d..(li + 1) * d],
-                            &nh[li * m * d..(li + 1) * m * d],
-                            &mut ns[li * m..(li + 1) * m],
-                        );
-                    }
-                    TrainScore::NegSqDist => {
-                        ps[li] = -sq_dist(users.row(u), items.row(i));
-                        for (jj, &j) in batch.negs_of(row).iter().enumerate() {
-                            ns[li * m + jj] = -sq_dist(users.row(u), items.row(j as usize));
-                        }
-                    }
-                }
-            }
-        }));
+    mut parts: [&mut [f32]; N],
+    widths: [usize; N],
+    body: F,
+) where
+    F: Fn(Range<usize>, [&mut [f32]; N], &mut ShardGrad) + Sync,
+{
+    let Some(pool) = pool else {
+        return body(0..b, parts, &mut shards[0]);
+    };
+    let chunk = b.div_ceil(shards.len()).max(1);
+    let body = &body;
+    let mut jobs: Vec<Job> = Vec::with_capacity(shards.len());
+    for (start, shard) in (0..b).step_by(chunk).zip(shards.iter_mut()) {
+        let rows = chunk.min(b - start);
+        let head = split_rows(&mut parts, widths, rows);
+        jobs.push(Box::new(move || body(start..start + rows, head, shard)));
     }
     pool.run(jobs);
 }
 
-/// Pass 1 of the pooled *in-batch* step, shared verbatim by the exact
-/// ([`Trainer::step_in_batch_par`]) and Hogwild paths: sizes the scratch,
-/// gather-normalizes each row's user and positive item (row-sharded
-/// blocked gathers; `pos_hat`/`pos_norm` hold the item side), then fills
-/// the full `B × B` similarity matrix `S[a][c] = cos(user_a, item_c)` by
-/// row chunks — every worker reads all of the item block, one blocked
-/// matvec per user row.
-#[allow(clippy::too_many_arguments)] // the pass mirrors the step state
-fn pass1_in_batch_scores(
-    pool: &WorkerPool,
-    chunks: &[std::ops::Range<usize>],
-    batch: &TrainBatch,
-    users: &Matrix,
-    items: &Matrix,
-    scratch: &mut StepScratch,
-    b: usize,
-    d: usize,
-) {
-    scratch.ensure_in_batch(b, d);
-    {
-        let mut jobs: Vec<Job> = Vec::with_capacity(chunks.len());
-        let mut uh_rest = &mut scratch.user_hat[..b * d];
-        let mut ih_rest = &mut scratch.pos_hat[..b * d];
-        let mut un_rest = &mut scratch.user_norm[..b];
-        let mut in_rest = &mut scratch.pos_norm[..b];
-        for range in chunks {
-            let rows = range.len();
-            let (uh, r) = std::mem::take(&mut uh_rest).split_at_mut(rows * d);
-            uh_rest = r;
-            let (ih, r) = std::mem::take(&mut ih_rest).split_at_mut(rows * d);
-            ih_rest = r;
-            let (un, r) = std::mem::take(&mut un_rest).split_at_mut(rows);
-            un_rest = r;
-            let (inorm, r) = std::mem::take(&mut in_rest).split_at_mut(rows);
-            in_rest = r;
-            let range = range.clone();
-            jobs.push(Box::new(move || {
-                normalize_gather_into(users, &batch.users[range.clone()], uh, un);
-                normalize_gather_into(items, &batch.pos[range], ih, inorm);
-            }));
-        }
-        pool.run(jobs);
-    }
-    {
-        let mut jobs: Vec<Job> = Vec::with_capacity(chunks.len());
-        let user_hat = &scratch.user_hat;
-        let item_hat = &scratch.pos_hat[..b * d];
-        let mut s_rest = &mut scratch.sims[..b * b];
-        for range in chunks {
-            let (srows, r) = std::mem::take(&mut s_rest).split_at_mut(range.len() * b);
-            s_rest = r;
-            let range = range.clone();
-            jobs.push(Box::new(move || {
-                for (li, a) in range.enumerate() {
-                    scores_block(
-                        &user_hat[a * d..(a + 1) * d],
-                        item_hat,
-                        &mut srows[li * b..(li + 1) * b],
-                    );
-                }
-            }));
-        }
-        pool.run(jobs);
-    }
+/// What every step of one fit reuses: the compute pool (`None` when
+/// serial), one batch-footprint gradient shard per worker (one in total
+/// when serial), the merged buffer the optimizer reads, and the scratch.
+struct StepState<'p> {
+    pool: Option<&'p WorkerPool>,
+    shards: Vec<ShardGrad>,
+    grads: GradBuffer,
+    scratch: StepScratch,
+    hyper: Hyper,
 }
 
 impl Trainer {
@@ -354,52 +238,20 @@ impl Trainer {
         let m = if in_batch { 1 } else { cfg.negatives };
 
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xB5F0_0B5F);
-        // `threads == 1` must stay bit-identical to the historical serial
-        // trainer, so the persistent engine only exists when threads > 1.
+        // `threads == 1` is the one-shard case of the same step, run
+        // inline, so the persistent engine only exists when threads > 1.
         let n_threads = cfg.resolved_threads();
-        let engine: Option<&Engine> = if n_threads > 1 {
-            Some(self.engine.get_or_init(|| Engine::new(n_threads)))
-        } else {
-            None
+        let engine: Option<&Engine> =
+            (n_threads > 1).then(|| self.engine.get_or_init(|| Engine::new(n_threads)));
+        let mut state = StepState {
+            pool: engine.map(Engine::pool),
+            // Shards are sized to the batch footprint (grow-only sparse
+            // row maps), never to the catalogue.
+            shards: (0..n_threads).map(|_| ShardGrad::new(backbone.out_dim())).collect(),
+            grads: GradBuffer::new(ds.n_users, ds.n_items, backbone.out_dim()),
+            scratch: StepScratch::default(),
+            hyper: Hyper { lr: cfg.lr, l2: cfg.l2 },
         };
-        // Hogwild needs raw in-place-updatable parameters and cosine
-        // scoring; anything else falls back to the exact sharded path.
-        let hogwild = match cfg.sync {
-            SyncMode::Exact => false,
-            SyncMode::Hogwild => {
-                if n_threads <= 1 {
-                    false
-                } else if backbone.train_score() != TrainScore::Cosine
-                    || backbone.params_mut().is_none()
-                {
-                    eprintln!(
-                        "sync: Hogwild unsupported for backbone {} — \
-                         falling back to exact sharded updates",
-                        backbone.name()
-                    );
-                    false
-                } else {
-                    true
-                }
-            }
-        };
-        // Per-worker gradient shards are sized to the batch footprint
-        // (grow-only sparse row maps), never to the catalogue.
-        let mut shard_grads: Vec<ShardGrad> = if n_threads > 1 && !hogwild {
-            (0..n_threads).map(|_| ShardGrad::new(backbone.out_dim())).collect()
-        } else {
-            Vec::new()
-        };
-        // The merged accumulator the optimizer consumes — dense, but only
-        // the exact paths need it; Hogwild updates in place and gets an
-        // empty stand-in so nothing catalogue-sized is allocated.
-        let mut grads = if hogwild {
-            GradBuffer::new(0, 0, backbone.out_dim())
-        } else {
-            GradBuffer::new(ds.n_users, ds.n_items, backbone.out_dim())
-        };
-        let hyper = Hyper { lr: cfg.lr, l2: cfg.l2 };
-        let mut scratch = StepScratch::default();
 
         let mut history = Vec::new();
         let mut eval_history = Vec::new();
@@ -428,63 +280,10 @@ impl Trainer {
                     continue; // a single row has no in-batch negatives
                 }
                 backbone.forward(&mut rng);
-                let (l, aux) = match (in_batch, engine) {
-                    (true, Some(e)) if hogwild => self.step_in_batch_hogwild(
-                        backbone,
-                        loss.as_ref(),
-                        &batch,
-                        &mut scratch,
-                        hyper,
-                        e.pool(),
-                    ),
-                    (false, Some(e)) if hogwild => self.step_sampled_hogwild(
-                        backbone,
-                        loss.as_ref(),
-                        &batch,
-                        &mut scratch,
-                        hyper,
-                        e.pool(),
-                    ),
-                    (true, None) => self.step_in_batch(
-                        backbone,
-                        loss.as_ref(),
-                        &batch,
-                        &mut grads,
-                        &mut scratch,
-                        hyper,
-                        &mut rng,
-                    ),
-                    (true, Some(e)) => self.step_in_batch_par(
-                        backbone,
-                        loss.as_ref(),
-                        &batch,
-                        &mut grads,
-                        &mut shard_grads,
-                        &mut scratch,
-                        hyper,
-                        &mut rng,
-                        e.pool(),
-                    ),
-                    (false, None) => self.step_sampled(
-                        backbone,
-                        loss.as_ref(),
-                        &batch,
-                        &mut grads,
-                        &mut scratch,
-                        hyper,
-                        &mut rng,
-                    ),
-                    (false, Some(e)) => self.step_sampled_par(
-                        backbone,
-                        loss.as_ref(),
-                        &batch,
-                        &mut grads,
-                        &mut shard_grads,
-                        &mut scratch,
-                        hyper,
-                        &mut rng,
-                        e.pool(),
-                    ),
+                let (l, aux) = if in_batch {
+                    state.step_in_batch(backbone, loss.as_ref(), &batch, &mut rng)
+                } else {
+                    state.step_sampled(backbone, loss.as_ref(), &batch, &mut rng)
                 };
                 loss_sum += l;
                 aux_sum += aux;
@@ -533,23 +332,22 @@ impl Trainer {
             eval_history,
         }
     }
+}
 
+impl StepState<'_> {
     /// One optimizer step with explicitly-sampled negatives.
     ///
     /// Pass 1 normalizes each row's negatives into a contiguous `m × d`
-    /// block (cached in `scratch` for pass 2, so every negative is
+    /// block (cached in the scratch for pass 2, so every negative is
     /// normalized exactly once) and scores it with one blocked matvec;
     /// pass 2 chains the user-side gradient through one
-    /// [`cosine_backward_block`] per row.
-    #[allow(clippy::too_many_arguments)] // the step signature mirrors the trainer state
+    /// [`cosine_backward_block`] per row. Both passes run per row chunk
+    /// ([`run_sharded`]); pass 2 accumulates into the chunk's shard.
     fn step_sampled(
-        &self,
+        &mut self,
         backbone: &mut dyn Backbone,
         loss: &dyn RankingLoss,
         batch: &TrainBatch,
-        grads: &mut GradBuffer,
-        scratch: &mut StepScratch,
-        hyper: Hyper,
         rng: &mut StdRng,
     ) -> (f64, f64) {
         let b = batch.len();
@@ -558,297 +356,141 @@ impl Trainer {
         let score_kind = backbone.train_score();
         let users = backbone.user_factors();
         let items = backbone.item_factors();
-        scratch.ensure_sampled(b, m, d, score_kind == TrainScore::Cosine);
+        let cache_negs = score_kind == TrainScore::Cosine;
+        // The distance-scored path carves empty negative-cache slices; it
+        // never reads them.
+        let mc = if cache_negs { m } else { 0 };
+        let s = &mut self.scratch;
+        s.ensure_sampled(b, m, d, cache_negs);
 
         // Pass 1 — scores.
-        for row in 0..b {
-            let u = batch.users[row] as usize;
-            let i = batch.pos[row] as usize;
-            match score_kind {
-                TrainScore::Cosine => {
-                    scratch.user_norm[row] =
-                        normalize_into(users.row(u), &mut scratch.user_hat[row * d..(row + 1) * d]);
-                    scratch.pos_norm[row] =
-                        normalize_into(items.row(i), &mut scratch.pos_hat[row * d..(row + 1) * d]);
-                    scratch.pos_scores[row] = dot(
-                        &scratch.user_hat[row * d..(row + 1) * d],
-                        &scratch.pos_hat[row * d..(row + 1) * d],
-                    );
-                    normalize_gather_into(
-                        items,
-                        batch.negs_of(row),
-                        &mut scratch.neg_hat[row * m * d..(row + 1) * m * d],
-                        &mut scratch.neg_norms[row * m..(row + 1) * m],
-                    );
-                    scores_block(
-                        &scratch.user_hat[row * d..(row + 1) * d],
-                        &scratch.neg_hat[row * m * d..(row + 1) * m * d],
-                        &mut scratch.neg_scores[row * m..(row + 1) * m],
-                    );
-                }
-                TrainScore::NegSqDist => {
-                    scratch.pos_scores[row] = -sq_dist(users.row(u), items.row(i));
-                    for (jj, &j) in batch.negs_of(row).iter().enumerate() {
-                        scratch.neg_scores[row * m + jj] =
-                            -sq_dist(users.row(u), items.row(j as usize));
+        run_sharded(
+            self.pool,
+            &mut self.shards,
+            b,
+            [
+                &mut s.user_hat[..b * d],
+                &mut s.user_norm[..b],
+                &mut s.pos_hat[..b * d],
+                &mut s.pos_norm[..b],
+                &mut s.pos_scores[..b],
+                &mut s.neg_scores[..b * m],
+                &mut s.neg_hat[..b * mc * d],
+                &mut s.neg_norms[..b * mc],
+            ],
+            [d, 1, d, 1, 1, m, mc * d, mc],
+            |rows, [uh, un, ph, pn, ps, ns, nh, nn], _| {
+                for (li, row) in rows.enumerate() {
+                    let u = batch.users[row] as usize;
+                    let i = batch.pos[row] as usize;
+                    match score_kind {
+                        TrainScore::Cosine => {
+                            let uhat = &mut uh[li * d..(li + 1) * d];
+                            un[li] = normalize_into(users.row(u), uhat);
+                            pn[li] = normalize_into(items.row(i), &mut ph[li * d..(li + 1) * d]);
+                            ps[li] = dot(uhat, &ph[li * d..(li + 1) * d]);
+                            normalize_gather_into(
+                                items,
+                                batch.negs_of(row),
+                                &mut nh[li * m * d..(li + 1) * m * d],
+                                &mut nn[li * m..(li + 1) * m],
+                            );
+                            scores_block(
+                                uhat,
+                                &nh[li * m * d..(li + 1) * m * d],
+                                &mut ns[li * m..(li + 1) * m],
+                            );
+                        }
+                        TrainScore::NegSqDist => {
+                            ps[li] = -sq_dist(users.row(u), items.row(i));
+                            for (jj, &j) in batch.negs_of(row).iter().enumerate() {
+                                ns[li * m + jj] = -sq_dist(users.row(u), items.row(j as usize));
+                            }
+                        }
                     }
                 }
-            }
-        }
+            },
+        );
 
-        let out = loss.compute(&ScoreBatch::new(
-            &scratch.pos_scores[..b],
-            &scratch.neg_scores[..b * m],
-            m,
-        ));
+        let out = loss.compute(&ScoreBatch::new(&s.pos_scores[..b], &s.neg_scores[..b * m], m));
 
-        // Pass 2 — chain score gradients into embedding gradients.
-        for row in 0..b {
-            let u = batch.users[row];
-            let i = batch.pos[row];
-            match score_kind {
-                TrainScore::Cosine => {
-                    let uhat = &scratch.user_hat[row * d..(row + 1) * d];
-                    let ihat = &scratch.pos_hat[row * d..(row + 1) * d];
-                    let g = out.grad_pos[row];
-                    let s = scratch.pos_scores[row];
-                    cosine_backward_into(
-                        g,
-                        s,
-                        uhat,
-                        ihat,
-                        scratch.user_norm[row],
-                        grads.user_row_mut(u),
-                    );
-                    cosine_backward_into(
-                        g,
-                        s,
-                        ihat,
-                        uhat,
-                        scratch.pos_norm[row],
-                        grads.item_row_mut(i),
-                    );
-                    let gs = &out.grad_neg[row * m..(row + 1) * m];
-                    let ss = &scratch.neg_scores[row * m..(row + 1) * m];
-                    let nh = &scratch.neg_hat[row * m * d..(row + 1) * m * d];
-                    let nn = &scratch.neg_norms[row * m..(row + 1) * m];
-                    cosine_backward_block(
-                        gs,
-                        ss,
-                        uhat,
-                        scratch.user_norm[row],
-                        nh,
-                        grads.user_row_mut(u),
-                    );
-                    for (jj, &j) in batch.negs_of(row).iter().enumerate() {
-                        let g = gs[jj];
-                        if g == 0.0 {
-                            continue;
+        // Pass 2 — chain score gradients into the shard's embedding
+        // gradients; negative unit vectors come from the pass-1 cache.
+        let s = &self.scratch;
+        run_sharded(self.pool, &mut self.shards, b, [], [], |rows, [], gbuf| {
+            for row in rows {
+                let u = batch.users[row];
+                let i = batch.pos[row];
+                match score_kind {
+                    TrainScore::Cosine => {
+                        let uhat = &s.user_hat[row * d..(row + 1) * d];
+                        let ihat = &s.pos_hat[row * d..(row + 1) * d];
+                        let g = out.grad_pos[row];
+                        let sc = s.pos_scores[row];
+                        let un = s.user_norm[row];
+                        cosine_backward_into(g, sc, uhat, ihat, un, gbuf.user_row_mut(u));
+                        let pn = s.pos_norm[row];
+                        cosine_backward_into(g, sc, ihat, uhat, pn, gbuf.item_row_mut(i));
+                        let gs = &out.grad_neg[row * m..(row + 1) * m];
+                        let ss = &s.neg_scores[row * m..(row + 1) * m];
+                        let nh = &s.neg_hat[row * m * d..(row + 1) * m * d];
+                        let nn = &s.neg_norms[row * m..(row + 1) * m];
+                        cosine_backward_block(gs, ss, uhat, un, nh, gbuf.user_row_mut(u));
+                        for (jj, &j) in batch.negs_of(row).iter().enumerate() {
+                            if gs[jj] == 0.0 {
+                                continue;
+                            }
+                            let nhat = &nh[jj * d..(jj + 1) * d];
+                            cosine_backward_into(
+                                gs[jj],
+                                ss[jj],
+                                nhat,
+                                uhat,
+                                nn[jj],
+                                gbuf.item_row_mut(j),
+                            );
                         }
-                        cosine_backward_into(
-                            g,
-                            ss[jj],
-                            &nh[jj * d..(jj + 1) * d],
-                            uhat,
-                            nn[jj],
-                            grads.item_row_mut(j),
-                        );
                     }
-                }
-                TrainScore::NegSqDist => {
-                    // s = −||u−i||² ⇒ ∂s/∂u = 2(i−u), ∂s/∂i = 2(u−i).
-                    let urow = users.row(u as usize);
-                    let apply = |g: f32, item: u32, grads: &mut GradBuffer| {
-                        if g == 0.0 {
-                            return;
-                        }
-                        let irow = items.row(item as usize);
-                        {
-                            let gu = grads.user_row_mut(u);
+                    TrainScore::NegSqDist => {
+                        // s = −||u−i||² ⇒ ∂s/∂u = 2(i−u), ∂s/∂i = 2(u−i).
+                        let urow = users.row(u as usize);
+                        let apply = |g: f32, item: u32, gbuf: &mut ShardGrad| {
+                            if g == 0.0 {
+                                return;
+                            }
+                            let irow = items.row(item as usize);
+                            let gu = gbuf.user_row_mut(u);
                             axpy(2.0 * g, irow, gu);
                             axpy(-2.0 * g, urow, gu);
-                        }
-                        {
-                            let gi = grads.item_row_mut(item);
+                            let gi = gbuf.item_row_mut(item);
                             axpy(2.0 * g, urow, gi);
                             axpy(-2.0 * g, irow, gi);
+                        };
+                        apply(out.grad_pos[row], i, gbuf);
+                        for (jj, &j) in batch.negs_of(row).iter().enumerate() {
+                            apply(out.grad_neg[row * m + jj], j, gbuf);
                         }
-                    };
-                    apply(out.grad_pos[row], i, grads);
-                    for (jj, &j) in batch.negs_of(row).iter().enumerate() {
-                        apply(out.grad_neg[row * m + jj], j, grads);
                     }
                 }
             }
-        }
-
-        let aux = backbone.step(grads, &batch.users, &batch.pos, hyper, rng);
-        grads.clear();
-        (out.loss, aux)
-    }
-
-    /// The sharded counterpart of [`Trainer::step_sampled`]: pass-1
-    /// scoring and pass-2 gradient accumulation run as per-batch work
-    /// items on the persistent [`WorkerPool`] over contiguous row chunks,
-    /// one private batch-footprint [`ShardGrad`] per shard, merged in
-    /// shard order before the optimizer step. The math is identical to
-    /// the serial step; only the f32 reduction order of gradient rows
-    /// shared between shards differs, so results are deterministic for a
-    /// fixed `(seed, threads)` pair.
-    #[allow(clippy::too_many_arguments)] // mirrors step_sampled + the shard buffers
-    fn step_sampled_par(
-        &self,
-        backbone: &mut dyn Backbone,
-        loss: &dyn RankingLoss,
-        batch: &TrainBatch,
-        grads: &mut GradBuffer,
-        shard_grads: &mut [ShardGrad],
-        scratch: &mut StepScratch,
-        hyper: Hyper,
-        rng: &mut StdRng,
-        pool: &WorkerPool,
-    ) -> (f64, f64) {
-        let b = batch.len();
-        let m = batch.m;
-        let d = backbone.out_dim();
-        let score_kind = backbone.train_score();
-        let users = backbone.user_factors();
-        let items = backbone.item_factors();
-        let chunks = row_chunks(b, shard_grads.len());
-        pass1_sampled_scores(pool, &chunks, batch, users, items, score_kind, scratch, b, m, d);
-
-        let out = loss.compute(&ScoreBatch::new(
-            &scratch.pos_scores[..b],
-            &scratch.neg_scores[..b * m],
-            m,
-        ));
-
-        // Pass 2 — chain score gradients into per-shard embedding
-        // gradients (private batch-footprint buffers, no write
-        // contention); negative unit vectors come from the pass-1 cache.
-        {
-            let mut jobs: Vec<Job> = Vec::with_capacity(chunks.len());
-            let out = &out;
-            let user_hat = &scratch.user_hat;
-            let user_norm = &scratch.user_norm;
-            let pos_hat = &scratch.pos_hat;
-            let pos_norm = &scratch.pos_norm;
-            let pos_scores = &scratch.pos_scores;
-            let neg_scores = &scratch.neg_scores;
-            let neg_hat = &scratch.neg_hat;
-            let neg_norms = &scratch.neg_norms;
-            for (range, gbuf) in chunks.iter().zip(shard_grads.iter_mut()) {
-                let range = range.clone();
-                jobs.push(Box::new(move || {
-                    for row in range {
-                        let u = batch.users[row];
-                        let i = batch.pos[row];
-                        match score_kind {
-                            TrainScore::Cosine => {
-                                let uhat = &user_hat[row * d..(row + 1) * d];
-                                let ihat = &pos_hat[row * d..(row + 1) * d];
-                                let g = out.grad_pos[row];
-                                let s = pos_scores[row];
-                                cosine_backward_into(
-                                    g,
-                                    s,
-                                    uhat,
-                                    ihat,
-                                    user_norm[row],
-                                    gbuf.user_row_mut(u),
-                                );
-                                cosine_backward_into(
-                                    g,
-                                    s,
-                                    ihat,
-                                    uhat,
-                                    pos_norm[row],
-                                    gbuf.item_row_mut(i),
-                                );
-                                let gs = &out.grad_neg[row * m..(row + 1) * m];
-                                let ss = &neg_scores[row * m..(row + 1) * m];
-                                let nh = &neg_hat[row * m * d..(row + 1) * m * d];
-                                let nn = &neg_norms[row * m..(row + 1) * m];
-                                cosine_backward_block(
-                                    gs,
-                                    ss,
-                                    uhat,
-                                    user_norm[row],
-                                    nh,
-                                    gbuf.user_row_mut(u),
-                                );
-                                for (jj, &j) in batch.negs_of(row).iter().enumerate() {
-                                    let g = gs[jj];
-                                    if g == 0.0 {
-                                        continue;
-                                    }
-                                    cosine_backward_into(
-                                        g,
-                                        ss[jj],
-                                        &nh[jj * d..(jj + 1) * d],
-                                        uhat,
-                                        nn[jj],
-                                        gbuf.item_row_mut(j),
-                                    );
-                                }
-                            }
-                            TrainScore::NegSqDist => {
-                                let urow = users.row(u as usize);
-                                let apply = |g: f32, item: u32, gbuf: &mut ShardGrad| {
-                                    if g == 0.0 {
-                                        return;
-                                    }
-                                    let irow = items.row(item as usize);
-                                    {
-                                        let gu = gbuf.user_row_mut(u);
-                                        axpy(2.0 * g, irow, gu);
-                                        axpy(-2.0 * g, urow, gu);
-                                    }
-                                    {
-                                        let gi = gbuf.item_row_mut(item);
-                                        axpy(2.0 * g, urow, gi);
-                                        axpy(-2.0 * g, irow, gi);
-                                    }
-                                };
-                                apply(out.grad_pos[row], i, gbuf);
-                                for (jj, &j) in batch.negs_of(row).iter().enumerate() {
-                                    apply(out.grad_neg[row * m + jj], j, gbuf);
-                                }
-                            }
-                        }
-                    }
-                }));
-            }
-            pool.run(jobs);
-        }
-
-        // Fixed shard merge order keeps runs deterministic per thread
-        // count.
-        for sg in shard_grads.iter_mut() {
-            sg.merge_into(grads);
-            sg.clear();
-        }
-        let aux = backbone.step(grads, &batch.users, &batch.pos, hyper, rng);
-        grads.clear();
-        (out.loss, aux)
+        });
+        (out.loss, self.merge_and_step(backbone, batch, rng))
     }
 
     /// One optimizer step with in-batch shared negatives: row `b`'s
     /// negatives are the other rows' positive items (paper Table V).
     ///
-    /// Normalization is one blocked gather per side, every similarity row
-    /// is one blocked matvec, and the user-side backward runs
-    /// [`cosine_backward_block`] on the two contiguous item-block halves
-    /// on either side of the diagonal.
-    #[allow(clippy::too_many_arguments)] // the step signature mirrors the trainer state
+    /// Normalization is one blocked gather per side and chunk, every
+    /// similarity row is one blocked matvec against the whole item block,
+    /// and the user-side backward runs [`cosine_backward_block`] on the
+    /// two contiguous item-block halves on either side of the diagonal.
+    /// A row's negatives are other rows' positives, so chunks write
+    /// overlapping item rows — each into its own shard.
     fn step_in_batch(
-        &self,
+        &mut self,
         backbone: &mut dyn Backbone,
         loss: &dyn RankingLoss,
         batch: &TrainBatch,
-        grads: &mut GradBuffer,
-        scratch: &mut StepScratch,
-        hyper: Hyper,
         rng: &mut StdRng,
     ) -> (f64, f64) {
         let b = batch.len();
@@ -857,498 +499,105 @@ impl Trainer {
         debug_assert_eq!(backbone.train_score(), TrainScore::Cosine, "in-batch assumes cosine");
         let users = backbone.user_factors();
         let items = backbone.item_factors();
-        scratch.ensure_in_batch(b, d);
+        let s = &mut self.scratch;
+        s.ensure_in_batch(b, d);
 
-        // Normalize each row's user and positive item once (blocked
-        // gather; `pos_hat`/`pos_norm` hold the item side).
-        normalize_gather_into(
-            users,
-            &batch.users,
-            &mut scratch.user_hat[..b * d],
-            &mut scratch.user_norm[..b],
-        );
-        normalize_gather_into(
-            items,
-            &batch.pos,
-            &mut scratch.pos_hat[..b * d],
-            &mut scratch.pos_norm[..b],
+        // Normalize each row's user and positive item once
+        // (`pos_hat`/`pos_norm` hold the item side).
+        run_sharded(
+            self.pool,
+            &mut self.shards,
+            b,
+            [
+                &mut s.user_hat[..b * d],
+                &mut s.user_norm[..b],
+                &mut s.pos_hat[..b * d],
+                &mut s.pos_norm[..b],
+            ],
+            [d, 1, d, 1],
+            |rows, [uh, un, ih, inorm], _| {
+                normalize_gather_into(users, &batch.users[rows.start..rows.end], uh, un);
+                normalize_gather_into(items, &batch.pos[rows], ih, inorm);
+            },
         );
         // Full similarity matrix: S[a][c] = cos(user_a, item_c).
+        let (user_hat, item_hat) = (&s.user_hat, &s.pos_hat[..b * d]);
+        run_sharded(
+            self.pool,
+            &mut self.shards,
+            b,
+            [&mut s.sims[..b * b]],
+            [b],
+            |rows, [sr], _| {
+                for (li, a) in rows.enumerate() {
+                    scores_block(
+                        &user_hat[a * d..(a + 1) * d],
+                        item_hat,
+                        &mut sr[li * b..(li + 1) * b],
+                    );
+                }
+            },
+        );
         for a in 0..b {
-            scores_block(
-                &scratch.user_hat[a * d..(a + 1) * d],
-                &scratch.pos_hat[..b * d],
-                &mut scratch.sims[a * b..(a + 1) * b],
-            );
-        }
-        for a in 0..b {
-            scratch.pos_scores[a] = scratch.sims[a * b + a];
+            s.pos_scores[a] = s.sims[a * b + a];
             let mut jj = 0;
             for c in 0..b {
                 if c != a {
-                    scratch.neg_scores[a * m + jj] = scratch.sims[a * b + c];
+                    s.neg_scores[a * m + jj] = s.sims[a * b + c];
                     jj += 1;
                 }
             }
         }
-        let out = loss.compute(&ScoreBatch::new(
-            &scratch.pos_scores[..b],
-            &scratch.neg_scores[..b * m],
-            m,
-        ));
+        let out = loss.compute(&ScoreBatch::new(&s.pos_scores[..b], &s.neg_scores[..b * m], m));
 
         // Chain gradients back; the column item of slot (a, jj) is row c.
-        for a in 0..b {
-            let ua = &scratch.user_hat[a * d..(a + 1) * d];
-            let ia = &scratch.pos_hat[a * d..(a + 1) * d];
-            let g = out.grad_pos[a];
-            let s = scratch.pos_scores[a];
-            cosine_backward_into(
-                g,
-                s,
-                ua,
-                ia,
-                scratch.user_norm[a],
-                grads.user_row_mut(batch.users[a]),
-            );
-            cosine_backward_into(
-                g,
-                s,
-                ia,
-                ua,
-                scratch.pos_norm[a],
-                grads.item_row_mut(batch.pos[a]),
-            );
-            // Slots 0..a map to item rows 0..a and slots a.. to rows
-            // a+1..b — two contiguous halves around the diagonal.
-            let gs = &out.grad_neg[a * m..(a + 1) * m];
-            let ss = &scratch.neg_scores[a * m..(a + 1) * m];
-            cosine_backward_block(
-                &gs[..a],
-                &ss[..a],
-                ua,
-                scratch.user_norm[a],
-                &scratch.pos_hat[..a * d],
-                grads.user_row_mut(batch.users[a]),
-            );
-            cosine_backward_block(
-                &gs[a..],
-                &ss[a..],
-                ua,
-                scratch.user_norm[a],
-                &scratch.pos_hat[(a + 1) * d..b * d],
-                grads.user_row_mut(batch.users[a]),
-            );
-            let mut jj = 0;
-            for c in 0..b {
-                if c == a {
-                    continue;
+        let s = &self.scratch;
+        run_sharded(self.pool, &mut self.shards, b, [], [], |rows, [], gbuf| {
+            for a in rows {
+                let ua = &s.user_hat[a * d..(a + 1) * d];
+                let ia = &s.pos_hat[a * d..(a + 1) * d];
+                let g = out.grad_pos[a];
+                let sc = s.pos_scores[a];
+                let un = s.user_norm[a];
+                cosine_backward_into(g, sc, ua, ia, un, gbuf.user_row_mut(batch.users[a]));
+                cosine_backward_into(g, sc, ia, ua, s.pos_norm[a], gbuf.item_row_mut(batch.pos[a]));
+                // Slots 0..a map to item rows 0..a and slots a.. to rows
+                // a+1..b — two contiguous halves around the diagonal.
+                let gs = &out.grad_neg[a * m..(a + 1) * m];
+                let ss = &s.neg_scores[a * m..(a + 1) * m];
+                let (below, above) = (&s.pos_hat[..a * d], &s.pos_hat[(a + 1) * d..b * d]);
+                let gu = gbuf.user_row_mut(batch.users[a]);
+                cosine_backward_block(&gs[..a], &ss[..a], ua, un, below, gu);
+                cosine_backward_block(&gs[a..], &ss[a..], ua, un, above, gu);
+                for (jj, c) in (0..b).filter(|&c| c != a).enumerate() {
+                    if gs[jj] == 0.0 {
+                        continue;
+                    }
+                    let chat = &s.pos_hat[c * d..(c + 1) * d];
+                    let gi = gbuf.item_row_mut(batch.pos[c]);
+                    cosine_backward_into(gs[jj], ss[jj], chat, ua, s.pos_norm[c], gi);
                 }
-                let g = gs[jj];
-                let s = ss[jj];
-                jj += 1;
-                if g == 0.0 {
-                    continue;
-                }
-                cosine_backward_into(
-                    g,
-                    s,
-                    &scratch.pos_hat[c * d..(c + 1) * d],
-                    ua,
-                    scratch.pos_norm[c],
-                    grads.item_row_mut(batch.pos[c]),
-                );
             }
-        }
-
-        let aux = backbone.step(grads, &batch.users, &batch.pos, hyper, rng);
-        grads.clear();
-        (out.loss, aux)
+        });
+        (out.loss, self.merge_and_step(backbone, batch, rng))
     }
 
-    /// The sharded counterpart of [`Trainer::step_in_batch`]: the `B × B`
-    /// similarity matrix is computed by row chunks on the persistent
-    /// [`WorkerPool`], and the gradient pass accumulates into per-shard
-    /// batch-footprint buffers merged in shard order. A row's negatives
-    /// touch *other* rows' positive items, so shards write overlapping
-    /// item rows — private buffers plus the ordered merge keep that exact
-    /// and deterministic per thread count.
-    #[allow(clippy::too_many_arguments)] // mirrors step_in_batch + the shard buffers
-    fn step_in_batch_par(
-        &self,
+    /// Merges the shards into the dense buffer in shard order, runs the
+    /// backbone's optimizer step on it and clears both; returns the
+    /// backbone's auxiliary loss.
+    fn merge_and_step(
+        &mut self,
         backbone: &mut dyn Backbone,
-        loss: &dyn RankingLoss,
         batch: &TrainBatch,
-        grads: &mut GradBuffer,
-        shard_grads: &mut [ShardGrad],
-        scratch: &mut StepScratch,
-        hyper: Hyper,
         rng: &mut StdRng,
-        pool: &WorkerPool,
-    ) -> (f64, f64) {
-        let b = batch.len();
-        let m = b - 1;
-        let d = backbone.out_dim();
-        debug_assert_eq!(backbone.train_score(), TrainScore::Cosine, "in-batch assumes cosine");
-        let users = backbone.user_factors();
-        let items = backbone.item_factors();
-        let chunks = row_chunks(b, shard_grads.len());
-        pass1_in_batch_scores(pool, &chunks, batch, users, items, scratch, b, d);
-
-        for a in 0..b {
-            scratch.pos_scores[a] = scratch.sims[a * b + a];
-            let mut jj = 0;
-            for c in 0..b {
-                if c != a {
-                    scratch.neg_scores[a * m + jj] = scratch.sims[a * b + c];
-                    jj += 1;
-                }
-            }
+    ) -> f64 {
+        for shard in &mut self.shards {
+            shard.merge_into(&mut self.grads);
+            shard.clear();
         }
-        let out = loss.compute(&ScoreBatch::new(
-            &scratch.pos_scores[..b],
-            &scratch.neg_scores[..b * m],
-            m,
-        ));
-
-        // Gradient pass, row-sharded into private buffers; the column item
-        // of slot (a, jj) is row c, which may belong to another shard —
-        // hence per-shard accumulation instead of in-place writes.
-        {
-            let mut jobs: Vec<Job> = Vec::with_capacity(chunks.len());
-            let out = &out;
-            let user_hat = &scratch.user_hat;
-            let item_hat = &scratch.pos_hat;
-            let user_norm = &scratch.user_norm;
-            let item_norm = &scratch.pos_norm;
-            let pos_scores = &scratch.pos_scores;
-            let neg_scores = &scratch.neg_scores;
-            for (range, gbuf) in chunks.iter().zip(shard_grads.iter_mut()) {
-                let range = range.clone();
-                jobs.push(Box::new(move || {
-                    for a in range {
-                        let ua = &user_hat[a * d..(a + 1) * d];
-                        let ia = &item_hat[a * d..(a + 1) * d];
-                        let g = out.grad_pos[a];
-                        let s = pos_scores[a];
-                        cosine_backward_into(
-                            g,
-                            s,
-                            ua,
-                            ia,
-                            user_norm[a],
-                            gbuf.user_row_mut(batch.users[a]),
-                        );
-                        cosine_backward_into(
-                            g,
-                            s,
-                            ia,
-                            ua,
-                            item_norm[a],
-                            gbuf.item_row_mut(batch.pos[a]),
-                        );
-                        // Two contiguous item-block halves around the
-                        // diagonal (slots 0..a ↔ rows 0..a, a.. ↔ a+1..b).
-                        let gs = &out.grad_neg[a * m..(a + 1) * m];
-                        let ss = &neg_scores[a * m..(a + 1) * m];
-                        cosine_backward_block(
-                            &gs[..a],
-                            &ss[..a],
-                            ua,
-                            user_norm[a],
-                            &item_hat[..a * d],
-                            gbuf.user_row_mut(batch.users[a]),
-                        );
-                        cosine_backward_block(
-                            &gs[a..],
-                            &ss[a..],
-                            ua,
-                            user_norm[a],
-                            &item_hat[(a + 1) * d..b * d],
-                            gbuf.user_row_mut(batch.users[a]),
-                        );
-                        let mut jj = 0;
-                        for c in 0..b {
-                            if c == a {
-                                continue;
-                            }
-                            let g = gs[jj];
-                            let s = ss[jj];
-                            jj += 1;
-                            if g == 0.0 {
-                                continue;
-                            }
-                            cosine_backward_into(
-                                g,
-                                s,
-                                &item_hat[c * d..(c + 1) * d],
-                                ua,
-                                item_norm[c],
-                                gbuf.item_row_mut(batch.pos[c]),
-                            );
-                        }
-                    }
-                }));
-            }
-            pool.run(jobs);
-        }
-
-        for sg in shard_grads.iter_mut() {
-            sg.merge_into(grads);
-            sg.clear();
-        }
-        let aux = backbone.step(grads, &batch.users, &batch.pos, hyper, rng);
-        grads.clear();
-        (out.loss, aux)
-    }
-
-    /// Hogwild version of the sampled step: pass 1 scores exactly like
-    /// [`Trainer::step_sampled_par`], then pass 2 workers chain gradients
-    /// from the cached unit vectors and apply plain-SGD updates **in
-    /// place** through a lock-free [`HogwildView`] — no gradient shards,
-    /// no merge, no Adam state. Racy and therefore non-reproducible;
-    /// `fit_backbone` only routes here for cosine-scored backbones whose
-    /// final embeddings are their parameters.
-    fn step_sampled_hogwild(
-        &self,
-        backbone: &mut dyn Backbone,
-        loss: &dyn RankingLoss,
-        batch: &TrainBatch,
-        scratch: &mut StepScratch,
-        hyper: Hyper,
-        pool: &WorkerPool,
-    ) -> (f64, f64) {
-        let b = batch.len();
-        let m = batch.m;
-        let d = backbone.out_dim();
-        debug_assert_eq!(backbone.train_score(), TrainScore::Cosine, "hogwild assumes cosine");
-        let chunks = row_chunks(b, pool.n_workers());
-
-        // Pass 1 — the exact path's sharded scoring, verbatim, over
-        // read-only embeddings (the batch barrier below means pass-2
-        // writes never race these reads).
-        {
-            let users = backbone.user_factors();
-            let items = backbone.item_factors();
-            pass1_sampled_scores(
-                pool,
-                &chunks,
-                batch,
-                users,
-                items,
-                TrainScore::Cosine,
-                scratch,
-                b,
-                m,
-                d,
-            );
-        }
-
-        let out = loss.compute(&ScoreBatch::new(
-            &scratch.pos_scores[..b],
-            &scratch.neg_scores[..b * m],
-            m,
-        ));
-
-        // Pass 2 — in-place lock-free SGD from the pass-1 unit-vector
-        // cache (embedding reads during the backward all come from
-        // scratch, so mid-pass updates never corrupt the chain rule; they
-        // only race other rows' updates, which is the Hogwild deal).
-        let (user_emb, item_emb) =
-            backbone.params_mut().expect("fit_backbone verified hogwild support");
-        let uview = HogwildView::new(user_emb);
-        let iview = HogwildView::new(item_emb);
-        {
-            let mut jobs: Vec<Job> = Vec::with_capacity(chunks.len());
-            let out = &out;
-            let uview = &uview;
-            let iview = &iview;
-            let user_hat = &scratch.user_hat;
-            let user_norm = &scratch.user_norm;
-            let pos_hat = &scratch.pos_hat;
-            let pos_norm = &scratch.pos_norm;
-            let pos_scores = &scratch.pos_scores;
-            let neg_scores = &scratch.neg_scores;
-            let neg_hat = &scratch.neg_hat;
-            let neg_norms = &scratch.neg_norms;
-            for range in &chunks {
-                let range = range.clone();
-                jobs.push(Box::new(move || {
-                    let mut gbuf = vec![0.0f32; d];
-                    let mut prow = vec![0.0f32; d];
-                    for row in range {
-                        let u = batch.users[row];
-                        let i = batch.pos[row];
-                        let uhat = &user_hat[row * d..(row + 1) * d];
-                        let ihat = &pos_hat[row * d..(row + 1) * d];
-                        let g = out.grad_pos[row];
-                        let s = pos_scores[row];
-                        let gs = &out.grad_neg[row * m..(row + 1) * m];
-                        let ss = &neg_scores[row * m..(row + 1) * m];
-                        let nh = &neg_hat[row * m * d..(row + 1) * m * d];
-                        let nn = &neg_norms[row * m..(row + 1) * m];
-                        // User side: positive + whole negative block into
-                        // one local gradient row, then one apply.
-                        gbuf.fill(0.0);
-                        cosine_backward_into(g, s, uhat, ihat, user_norm[row], &mut gbuf);
-                        cosine_backward_block(gs, ss, uhat, user_norm[row], nh, &mut gbuf);
-                        hogwild_apply(uview, u, &gbuf, &mut prow, hyper);
-                        // Positive item.
-                        gbuf.fill(0.0);
-                        cosine_backward_into(g, s, ihat, uhat, pos_norm[row], &mut gbuf);
-                        hogwild_apply(iview, i, &gbuf, &mut prow, hyper);
-                        // Negative items.
-                        for (jj, &j) in batch.negs_of(row).iter().enumerate() {
-                            let gn = gs[jj];
-                            if gn == 0.0 {
-                                continue;
-                            }
-                            gbuf.fill(0.0);
-                            cosine_backward_into(
-                                gn,
-                                ss[jj],
-                                &nh[jj * d..(jj + 1) * d],
-                                uhat,
-                                nn[jj],
-                                &mut gbuf,
-                            );
-                            hogwild_apply(iview, j, &gbuf, &mut prow, hyper);
-                        }
-                    }
-                }));
-            }
-            pool.run(jobs);
-        }
-        (out.loss, 0.0)
-    }
-
-    /// Hogwild version of the in-batch step: pass 1 builds the `B × B`
-    /// similarity matrix exactly like [`Trainer::step_in_batch_par`], then
-    /// workers apply in-place SGD updates through a [`HogwildView`]. Item
-    /// rows receive one racy update per batch row that uses them as a
-    /// negative (instead of one merged update), which is the Hogwild
-    /// approximation at its most contended.
-    fn step_in_batch_hogwild(
-        &self,
-        backbone: &mut dyn Backbone,
-        loss: &dyn RankingLoss,
-        batch: &TrainBatch,
-        scratch: &mut StepScratch,
-        hyper: Hyper,
-        pool: &WorkerPool,
-    ) -> (f64, f64) {
-        let b = batch.len();
-        let m = b - 1;
-        let d = backbone.out_dim();
-        debug_assert_eq!(backbone.train_score(), TrainScore::Cosine, "in-batch assumes cosine");
-        let chunks = row_chunks(b, pool.n_workers());
-
-        // Pass 1 — the exact path's blocked gather-normalize + similarity
-        // rows, verbatim.
-        {
-            let users = backbone.user_factors();
-            let items = backbone.item_factors();
-            pass1_in_batch_scores(pool, &chunks, batch, users, items, scratch, b, d);
-        }
-
-        for a in 0..b {
-            scratch.pos_scores[a] = scratch.sims[a * b + a];
-            let mut jj = 0;
-            for c in 0..b {
-                if c != a {
-                    scratch.neg_scores[a * m + jj] = scratch.sims[a * b + c];
-                    jj += 1;
-                }
-            }
-        }
-        let out = loss.compute(&ScoreBatch::new(
-            &scratch.pos_scores[..b],
-            &scratch.neg_scores[..b * m],
-            m,
-        ));
-
-        // Pass 2 — in-place lock-free SGD from the cached unit vectors.
-        let (user_emb, item_emb) =
-            backbone.params_mut().expect("fit_backbone verified hogwild support");
-        let uview = HogwildView::new(user_emb);
-        let iview = HogwildView::new(item_emb);
-        {
-            let mut jobs: Vec<Job> = Vec::with_capacity(chunks.len());
-            let out = &out;
-            let uview = &uview;
-            let iview = &iview;
-            let user_hat = &scratch.user_hat;
-            let item_hat = &scratch.pos_hat;
-            let user_norm = &scratch.user_norm;
-            let item_norm = &scratch.pos_norm;
-            let pos_scores = &scratch.pos_scores;
-            let neg_scores = &scratch.neg_scores;
-            for range in &chunks {
-                let range = range.clone();
-                jobs.push(Box::new(move || {
-                    let mut gbuf = vec![0.0f32; d];
-                    let mut prow = vec![0.0f32; d];
-                    for a in range {
-                        let ua = &user_hat[a * d..(a + 1) * d];
-                        let ia = &item_hat[a * d..(a + 1) * d];
-                        let g = out.grad_pos[a];
-                        let s = pos_scores[a];
-                        let gs = &out.grad_neg[a * m..(a + 1) * m];
-                        let ss = &neg_scores[a * m..(a + 1) * m];
-                        // User side: positive + the two contiguous item
-                        // halves around the diagonal, one apply.
-                        gbuf.fill(0.0);
-                        cosine_backward_into(g, s, ua, ia, user_norm[a], &mut gbuf);
-                        cosine_backward_block(
-                            &gs[..a],
-                            &ss[..a],
-                            ua,
-                            user_norm[a],
-                            &item_hat[..a * d],
-                            &mut gbuf,
-                        );
-                        cosine_backward_block(
-                            &gs[a..],
-                            &ss[a..],
-                            ua,
-                            user_norm[a],
-                            &item_hat[(a + 1) * d..b * d],
-                            &mut gbuf,
-                        );
-                        hogwild_apply(uview, batch.users[a], &gbuf, &mut prow, hyper);
-                        // Own positive item.
-                        gbuf.fill(0.0);
-                        cosine_backward_into(g, s, ia, ua, item_norm[a], &mut gbuf);
-                        hogwild_apply(iview, batch.pos[a], &gbuf, &mut prow, hyper);
-                        // Other rows' positives used as negatives here.
-                        let mut jj = 0;
-                        for c in 0..b {
-                            if c == a {
-                                continue;
-                            }
-                            let gn = gs[jj];
-                            let sn = ss[jj];
-                            jj += 1;
-                            if gn == 0.0 {
-                                continue;
-                            }
-                            gbuf.fill(0.0);
-                            cosine_backward_into(
-                                gn,
-                                sn,
-                                &item_hat[c * d..(c + 1) * d],
-                                ua,
-                                item_norm[c],
-                                &mut gbuf,
-                            );
-                            hogwild_apply(iview, batch.pos[c], &gbuf, &mut prow, hyper);
-                        }
-                    }
-                }));
-            }
-            pool.run(jobs);
-        }
-        (out.loss, 0.0)
+        let aux = backbone.step(&self.grads, &batch.users, &batch.pos, self.hyper, rng);
+        self.grads.clear();
+        aux
     }
 }
 

@@ -55,16 +55,6 @@ impl MetricSet {
         self.n_users += 1;
     }
 
-    /// Merges another partial accumulator (for parallel reduction).
-    pub fn merge(&mut self, other: &MetricSet) {
-        self.recall += other.recall;
-        self.ndcg += other.ndcg;
-        self.precision += other.precision;
-        self.hit_rate += other.hit_rate;
-        self.map += other.map;
-        self.n_users += other.n_users;
-    }
-
     /// Converts sums to means. No-op on an empty accumulator.
     pub fn finalize(&mut self) {
         if self.n_users == 0 {
@@ -200,26 +190,6 @@ mod tests {
         assert_eq!(acc.n_users, 2);
         assert!((acc.recall - 0.5).abs() < 1e-12);
         assert!((acc.ndcg - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn metric_set_merge_matches_sequential() {
-        let users = [
-            UserMetrics { recall: 0.3, ndcg: 0.2, precision: 0.1, hit_rate: 1.0, map: 0.15 },
-            UserMetrics { recall: 0.6, ndcg: 0.5, precision: 0.3, hit_rate: 1.0, map: 0.4 },
-            UserMetrics { recall: 0.0, ndcg: 0.0, precision: 0.0, hit_rate: 0.0, map: 0.0 },
-        ];
-        let mut seq = MetricSet::default();
-        for u in &users {
-            seq.accumulate(u);
-        }
-        let mut a = MetricSet::default();
-        a.accumulate(&users[0]);
-        let mut b = MetricSet::default();
-        b.accumulate(&users[1]);
-        b.accumulate(&users[2]);
-        a.merge(&b);
-        assert_eq!(a, seq);
     }
 
     proptest! {

@@ -7,10 +7,11 @@
 //! via [`evaluate`], which freezes them into an ad-hoc artifact first, so
 //! there is exactly one scoring implementation in the workspace.
 
-use crate::metrics::{user_metrics, MetricSet};
+use crate::metrics::{user_metrics, MetricSet, UserMetrics};
 use bsl_data::Dataset;
 use bsl_linalg::topk::TopK;
 use bsl_models::{EvalScore, ModelArtifact};
+use std::sync::mpsc::{sync_channel, Receiver};
 
 /// Evaluation report: one [`MetricSet`] per requested cutoff.
 #[derive(Clone, Debug)]
@@ -59,64 +60,90 @@ impl std::fmt::Display for EvalReport {
     }
 }
 
+/// Users per evaluation block. Workers rank interleaved blocks and the
+/// caller sums each block's per-user metrics in user order, so at most
+/// `2 × workers + 1` blocks of metrics are alive at once, whatever the
+/// number of users.
+const EVAL_BLOCK: usize = 64;
+
 /// Evaluates a frozen [`ModelArtifact`] on `ds`'s test split at each cutoff
 /// in `ks`, averaging over users with at least one test interaction.
 /// Training items are masked out of the ranking (the standard CF
 /// protocol). The artifact's tables are served as-is — no per-call
 /// normalization or augmentation is repaid here.
 ///
-/// Work is distributed over scoped threads (one chunk of users each), with
-/// per-thread score and top-k scratch.
+/// Users are ranked on scoped threads (one per core, at most 8), each
+/// with its own score and top-k scratch. Metrics are summed per user in
+/// user order, so the report is bit-identical on every host whatever its
+/// core count.
 ///
 /// # Panics
 /// Panics if `ks` is empty or the artifact's shape disagrees with `ds`.
 pub fn evaluate_artifact(ds: &Dataset, artifact: &ModelArtifact, ks: &[usize]) -> EvalReport {
+    let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(8);
+    evaluate_artifact_with(ds, artifact, ks, workers)
+}
+
+/// [`evaluate_artifact`] on `workers` threads. Worker `w` ranks blocks
+/// `w, w + workers, …` of [`EVAL_BLOCK`] users and hands each over a
+/// one-slot channel; the caller sums the blocks in order — the f64
+/// additions one thread would make, so the report does not depend on
+/// `workers`.
+pub(crate) fn evaluate_artifact_with(
+    ds: &Dataset,
+    artifact: &ModelArtifact,
+    ks: &[usize],
+    workers: usize,
+) -> EvalReport {
     assert!(!ks.is_empty(), "need at least one cutoff");
     assert_eq!(artifact.n_users(), ds.n_users, "artifact user rows != n_users");
     assert_eq!(artifact.n_items(), ds.n_items, "artifact item rows != n_items");
-    let max_k = *ks.iter().max().expect("non-empty ks");
 
     let users = ds.evaluable_users();
-    let n_threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(8);
-    let chunk = users.len().div_ceil(n_threads.max(1)).max(1);
-
-    let mut partials: Vec<Vec<MetricSet>> = Vec::new();
+    let n_blocks = users.len().div_ceil(EVAL_BLOCK);
+    let workers = workers.clamp(1, n_blocks.max(1));
+    let max_k = *ks.iter().max().expect("non-empty ks");
+    let mut at = vec![MetricSet::default(); ks.len()];
     std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for block in users.chunks(chunk) {
-            handles.push(scope.spawn(move || {
-                let mut acc = vec![MetricSet::default(); ks.len()];
-                let mut scores: Vec<f32> = Vec::new();
-                let mut topk = TopK::new();
-                let mut ranked: Vec<u32> = Vec::new();
-                for &u in block {
-                    artifact.score_catalogue_into(u, &mut scores);
-                    let train = ds.train_items(u as usize);
-                    topk.select_masked_into(
-                        &scores,
-                        max_k,
-                        |i| train.binary_search(&(i as u32)).is_ok(),
-                        &mut ranked,
-                    );
-                    let relevant = ds.test_items(u as usize);
-                    for (slot, &k) in acc.iter_mut().zip(ks.iter()) {
-                        slot.accumulate(&user_metrics(&ranked, relevant, k));
+        let rxs: Vec<Receiver<Vec<UserMetrics>>> = (0..workers)
+            .map(|w| {
+                let (tx, rx) = sync_channel(1);
+                let users = &users;
+                scope.spawn(move || {
+                    let mut scores: Vec<f32> = Vec::new();
+                    let mut topk = TopK::new();
+                    let mut ranked: Vec<u32> = Vec::new();
+                    for block in users.chunks(EVAL_BLOCK).skip(w).step_by(workers) {
+                        let mut metrics = Vec::with_capacity(block.len() * ks.len());
+                        for &u in block {
+                            artifact.score_catalogue_into(u, &mut scores);
+                            let train = ds.train_items(u as usize);
+                            topk.select_masked_into(
+                                &scores,
+                                max_k,
+                                |i| train.binary_search(&(i as u32)).is_ok(),
+                                &mut ranked,
+                            );
+                            let relevant = ds.test_items(u as usize);
+                            metrics.extend(ks.iter().map(|&k| user_metrics(&ranked, relevant, k)));
+                        }
+                        if tx.send(metrics).is_err() {
+                            return; // the caller is unwinding
+                        }
                     }
+                });
+                rx
+            })
+            .collect();
+        for b in 0..n_blocks {
+            let metrics = rxs[b % workers].recv().expect("evaluation worker panicked");
+            for user in metrics.chunks(ks.len()) {
+                for (slot, m) in at.iter_mut().zip(user) {
+                    slot.accumulate(m);
                 }
-                acc
-            }));
-        }
-        for h in handles {
-            partials.push(h.join().expect("evaluation worker panicked"));
+            }
         }
     });
-
-    let mut at = vec![MetricSet::default(); ks.len()];
-    for part in &partials {
-        for (slot, p) in at.iter_mut().zip(part.iter()) {
-            slot.merge(p);
-        }
-    }
     for slot in &mut at {
         slot.finalize();
     }
@@ -225,6 +252,37 @@ mod tests {
         let b = evaluate(&ds, &users, &items, EvalScore::Cosine, &[5, 20]);
         assert_eq!(a.at_k(20), b.at_k(20));
         assert_eq!(a.at_k(5), b.at_k(5));
+    }
+
+    #[test]
+    fn report_bits_do_not_depend_on_worker_count() {
+        // Enough users for several blocks per worker at 1, 2 and 3
+        // workers, and a ragged last block.
+        let mut cfg = SynthConfig::tiny(11);
+        cfg.n_users = 6 * EVAL_BLOCK + 37;
+        let ds = generate(&cfg);
+        let mut rng = StdRng::seed_from_u64(2);
+        let users = Matrix::gaussian(ds.n_users, 8, 1.0, &mut rng);
+        let items = Matrix::gaussian(ds.n_items, 8, 1.0, &mut rng);
+        let art = ModelArtifact::from_embeddings("MF", &users, &items, EvalScore::Cosine);
+        let ks = [5, 20];
+        let bits = |workers| {
+            let rep = evaluate_artifact_with(&ds, &art, &ks, workers);
+            assert!(rep.at_k(20).n_users > 5 * EVAL_BLOCK, "too few users for several blocks");
+            rep.at
+                .iter()
+                .flat_map(|m| {
+                    [m.recall, m.ndcg, m.precision, m.hit_rate, m.map]
+                        .map(f64::to_bits)
+                        .into_iter()
+                        .chain([m.n_users as u64])
+                })
+                .collect::<Vec<u64>>()
+        };
+        let one = bits(1);
+        for workers in [2, 3, 8] {
+            assert_eq!(bits(workers), one, "{workers} workers changed the report bits");
+        }
     }
 
     #[test]

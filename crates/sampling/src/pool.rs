@@ -1,16 +1,26 @@
-//! Persistent sampling workers: the long-lived counterpart of
-//! [`ParBatchIter`](crate::ParBatchIter).
+//! Persistent, sharded batch production.
 //!
-//! [`SamplerPool`] spawns its shard workers **once**; every epoch is then
-//! one [`SamplerPool::start_epoch`] call that shuffles the pair list on
-//! the caller's thread (identically to [`BatchIter`](crate::BatchIter))
-//! and mails each worker an epoch-job descriptor for its shard. Workers
-//! park on their job channel between epochs, so per-epoch thread-spawn
-//! overhead disappears while the batch stream stays **bit-identical** to
-//! `ParBatchIter` — shard 0 continues the shuffle RNG stream, shards
-//! `s > 0` run SplitMix64-split streams, and batches arrive in serial
-//! epoch order through bounded channels (see the determinism contract in
-//! [`crate::par_batch`]).
+//! [`SamplerPool`] is the parallel counterpart of
+//! [`BatchIter`](crate::BatchIter): it spawns its shard workers **once**;
+//! every epoch is then one [`SamplerPool::start_epoch`] call that shuffles
+//! the pair list on the caller's thread (identically to `BatchIter`) and
+//! mails each worker an epoch-job descriptor for its shard. Batches are
+//! partitioned round-robin across the shards, each sampling negatives
+//! with its own deterministic RNG stream, and arrive in serial epoch
+//! order through bounded channels — so the consumer (the trainer)
+//! overlaps negative sampling with gradient computation. Workers park on
+//! their job channel between epochs, so no epoch spawns a thread.
+//!
+//! # Determinism contract
+//!
+//! * The pair shuffle and batch boundaries depend only on `seed` — the
+//!   `(user, positive)` stream is identical for **every** shard count.
+//! * Negative draws depend on `(seed, n_shards)`: shard 0 continues the
+//!   shuffle RNG stream (so one shard reproduces `BatchIter`
+//!   bit-for-bit), shards `s > 0` run a SplitMix64-split stream derived
+//!   from `seed ^ s`. Changing the shard count re-draws negatives, like
+//!   changing the seed would; re-running with the same `(seed, n_shards)`
+//!   replays the epoch exactly.
 
 use crate::batch::TrainBatch;
 use crate::negative::NegativeSampler;
@@ -24,12 +34,12 @@ use std::thread::JoinHandle;
 /// Batches buffered per shard before its worker blocks; small enough to
 /// bound memory at `n_shards · DEPTH · batch_size · (m + 2)` ids, large
 /// enough to keep samplers ahead of the training step.
-pub(crate) const CHANNEL_DEPTH: usize = 2;
+const CHANNEL_DEPTH: usize = 2;
 
 /// Derives shard `s`'s RNG seed from the epoch seed with one SplitMix64
 /// finalizer round, so nearby `(seed, shard)` pairs land on unrelated
 /// streams.
-pub(crate) fn shard_seed(seed: u64, shard: u64) -> u64 {
+fn shard_seed(seed: u64, shard: u64) -> u64 {
     let mut z = seed ^ shard.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -86,9 +96,7 @@ impl SamplerPool {
     }
 
     /// Starts one sharded epoch over `ds`'s training pairs and returns the
-    /// batch iterator. The shuffle, batch boundaries and per-shard RNG
-    /// streams are exactly those of
-    /// [`ParBatchIter::new`](crate::ParBatchIter::new) with
+    /// batch iterator, under the [determinism contract](self) with
     /// `n_shards = self.n_shards()`.
     ///
     /// Epochs are sequential per pool: start the next epoch after the
@@ -236,19 +244,39 @@ mod tests {
     }
 
     #[test]
-    fn pooled_epochs_match_serial_iterator_with_one_shard() {
+    fn pooled_epochs_replay_the_serial_pair_stream_at_every_shard_count() {
         let ds = ds();
         let sampler = uniform(&ds);
-        let pool = SamplerPool::new(1);
-        for seed in [3u64, 9] {
-            let serial: Vec<TrainBatch> =
-                BatchIter::new(&ds, sampler.as_ref(), 37, 4, seed).collect();
-            let pooled: Vec<TrainBatch> = pool.start_epoch(&ds, &sampler, 37, 4, seed).collect();
-            assert_eq!(serial.len(), pooled.len());
-            for (a, b) in serial.iter().zip(pooled.iter()) {
-                assert_eq!(a.users, b.users);
-                assert_eq!(a.pos, b.pos);
-                assert_eq!(a.negs, b.negs, "one shard must replay the serial stream");
+        let mut want = ds.train_pairs();
+        want.sort_unstable();
+        for k in [1usize, 2, 3, 5] {
+            let pool = SamplerPool::new(k);
+            for seed in [3u64, 9] {
+                let serial: Vec<TrainBatch> =
+                    BatchIter::new(&ds, sampler.as_ref(), 37, 4, seed).collect();
+                let pooled: Vec<TrainBatch> =
+                    pool.start_epoch(&ds, &sampler, 37, 4, seed).collect();
+                assert_eq!(serial.len(), pooled.len());
+                let mut seen: Vec<(u32, u32)> = Vec::new();
+                for (a, b) in serial.iter().zip(pooled.iter()) {
+                    assert_eq!(a.users, b.users, "user order must not depend on n_shards");
+                    assert_eq!(a.pos, b.pos, "positive order must not depend on n_shards");
+                    assert_eq!(b.negs.len(), b.len() * b.m);
+                    seen.extend(b.users.iter().copied().zip(b.pos.iter().copied()));
+                }
+                seen.sort_unstable();
+                assert_eq!(seen, want, "{k} shards must cover every pair exactly once");
+                let negs =
+                    |v: &[TrainBatch]| v.iter().flat_map(|x| x.negs.clone()).collect::<Vec<u32>>();
+                if k == 1 {
+                    assert_eq!(
+                        negs(&serial),
+                        negs(&pooled),
+                        "one shard must replay the serial stream"
+                    );
+                } else {
+                    assert_ne!(negs(&serial), negs(&pooled), "shards > 0 run split RNG streams");
+                }
             }
         }
     }
@@ -296,8 +324,10 @@ mod tests {
         let pool = SamplerPool::new(2);
         let mut iter = pool.start_epoch(&ds, &sampler, 50, 1, 3);
         let n = iter.n_batches();
+        assert_eq!(n, ds.train_pairs().len().div_ceil(50));
         assert_eq!(iter.size_hint(), (n, Some(n)));
         let _ = iter.next();
         assert_eq!(iter.size_hint(), (n - 1, Some(n - 1)));
+        assert_eq!(iter.count(), n - 1, "n_batches must match the batches yielded");
     }
 }
